@@ -16,21 +16,22 @@
 //!   but nothing downstream assumes it is correct.
 //! * [`verify_certificate`] is the *independent checker* — it re-derives
 //!   no-neighbours-per-phase, exact chunk partition, and exactly-once
-//!   coverage from the raw CSR adjacency via
-//!   [`check_graph_schedule`](crate::check_graph_schedule), never
-//!   trusting the colorer (or whoever deserialized the certificate from
-//!   JSON) to have done its job.
+//!   coverage from the raw CSR adjacency (the checker in
+//!   [`schedule`](crate::schedule)), never trusting the colorer (or
+//!   whoever deserialized the certificate from JSON) to have done its
+//!   job. It is the workspace's only schedule prover.
 //!
 //! On a first-order grid the greedy pass reproduces the checkerboard
 //! exactly (and the 2×2 block coloring on a second-order grid), so the
 //! engine's historical parity scheduling is the degenerate 2-color case
 //! of this module — see DESIGN §14 for the argument.
 
+use mogs_mrf::codec::{read_hex_u64, read_object, required, ObjectWriter};
 use mogs_mrf::Topology;
 use serde::{de, Deserialize, Serialize};
 
 use crate::report::{AuditReport, Violation};
-use crate::schedule::{Chunking, SweepSchedule};
+use crate::schedule::{check_graph_schedule, Chunking};
 
 /// The certificate format version [`verify_certificate`] understands.
 /// Bump on any change to the serialized layout or to the meaning of an
@@ -184,59 +185,39 @@ impl ScheduleCertificate {
 }
 
 // The vendored serde derive cannot express struct-variant enums
-// (`Chunking`) or a u64 that must survive JSON round-trips — its numbers
-// pass through f64, which silently truncates fingerprints above 2^53 —
-// so the wire format is implemented by hand: the fingerprint travels as
-// a fixed-width hex string, and `Chunking` as a tagged object.
+// (`Chunking`) or a u64 that must survive JSON round-trips, so the wire
+// format is written with the shared codec: the fingerprint under the
+// hex rule of `mogs_mrf::codec`, and `Chunking` as a tagged object.
 impl Serialize for Chunking {
     fn serialize_json(&self, out: &mut String) {
+        let mut w = ObjectWriter::new(out);
         match self {
-            Chunking::Uniform { threads } => {
-                out.push_str("{\"kind\":\"uniform\",\"threads\":");
-                threads.serialize_json(out);
-                out.push('}');
-            }
-            Chunking::Explicit { ranges } => {
-                out.push_str("{\"kind\":\"explicit\",\"ranges\":");
-                ranges.serialize_json(out);
-                out.push('}');
-            }
+            Chunking::Uniform { threads } => w.field("kind", "uniform").field("threads", threads),
+            Chunking::Explicit { ranges } => w.field("kind", "explicit").field("ranges", ranges),
         }
+        .end();
     }
 }
 
 impl Deserialize for Chunking {
     fn deserialize_json(parser: &mut de::Parser<'_>) -> Result<Self, de::Error> {
-        parser.expect_char('{')?;
-        let mut kind: Option<String> = None;
-        let mut threads: Option<usize> = None;
-        let mut ranges: Option<Vec<Vec<(usize, usize)>>> = None;
-        if !parser.consume_char('}') {
-            loop {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "kind" => kind = Some(String::deserialize_json(parser)?),
-                    "threads" => threads = Some(usize::deserialize_json(parser)?),
-                    "ranges" => ranges = Some(Vec::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-                if parser.consume_char(',') {
-                    continue;
-                }
-                parser.expect_char('}')?;
-                break;
+        let (mut kind, mut threads, mut ranges) = (None, None, None);
+        read_object(parser, |p, key| {
+            match key {
+                "kind" => kind = Some(p.parse_string()?),
+                "threads" => threads = Some(usize::deserialize_json(p)?),
+                "ranges" => ranges = Some(Vec::deserialize_json(p)?),
+                _ => return Ok(false),
             }
-        }
+            Ok(true)
+        })?;
         match kind.as_deref() {
-            Some("uniform") => {
-                let threads = threads.ok_or_else(|| parser.error("uniform chunking: threads"))?;
-                Ok(Chunking::Uniform { threads })
-            }
-            Some("explicit") => {
-                let ranges = ranges.ok_or_else(|| parser.error("explicit chunking: ranges"))?;
-                Ok(Chunking::Explicit { ranges })
-            }
+            Some("uniform") => Ok(Chunking::Uniform {
+                threads: required(parser, "uniform chunking", "threads", threads)?,
+            }),
+            Some("explicit") => Ok(Chunking::Explicit {
+                ranges: required(parser, "explicit chunking", "ranges", ranges)?,
+            }),
             _ => Err(parser.error("chunking kind must be 'uniform' or 'explicit'")),
         }
     }
@@ -244,63 +225,40 @@ impl Deserialize for Chunking {
 
 impl Serialize for ScheduleCertificate {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"version\":");
-        self.version.serialize_json(out);
-        out.push_str(",\"sites\":");
-        self.sites.serialize_json(out);
-        out.push_str(",\"fingerprint\":\"");
-        out.push_str(&format!("{:016x}", self.fingerprint));
-        out.push_str("\",\"classes\":");
-        self.classes.serialize_json(out);
-        out.push_str(",\"chunking\":");
-        self.chunking.serialize_json(out);
-        out.push_str(",\"obligations\":");
-        self.obligations.serialize_json(out);
-        out.push('}');
+        ObjectWriter::new(out)
+            .field("version", &self.version)
+            .field("sites", &self.sites)
+            .hex_u64("fingerprint", self.fingerprint)
+            .field("classes", &self.classes)
+            .field("chunking", &self.chunking)
+            .field("obligations", &self.obligations)
+            .end();
     }
 }
 
 impl Deserialize for ScheduleCertificate {
     fn deserialize_json(parser: &mut de::Parser<'_>) -> Result<Self, de::Error> {
-        parser.expect_char('{')?;
-        let mut version: Option<u32> = None;
-        let mut sites: Option<usize> = None;
-        let mut fingerprint: Option<u64> = None;
-        let mut classes: Option<Vec<Vec<usize>>> = None;
-        let mut chunking: Option<Chunking> = None;
-        let mut obligations: Option<Vec<Obligation>> = None;
-        if !parser.consume_char('}') {
-            loop {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "version" => version = Some(u32::deserialize_json(parser)?),
-                    "sites" => sites = Some(usize::deserialize_json(parser)?),
-                    "fingerprint" => {
-                        let hex = String::deserialize_json(parser)?;
-                        let value = u64::from_str_radix(&hex, 16)
-                            .map_err(|_| parser.error("fingerprint must be a hex string"))?;
-                        fingerprint = Some(value);
-                    }
-                    "classes" => classes = Some(Vec::deserialize_json(parser)?),
-                    "chunking" => chunking = Some(Chunking::deserialize_json(parser)?),
-                    "obligations" => obligations = Some(Vec::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-                if parser.consume_char(',') {
-                    continue;
-                }
-                parser.expect_char('}')?;
-                break;
+        let (mut version, mut sites, mut fingerprint) = (None, None, None);
+        let (mut classes, mut chunking, mut obligations) = (None, None, None);
+        read_object(parser, |p, key| {
+            match key {
+                "version" => version = Some(u32::deserialize_json(p)?),
+                "sites" => sites = Some(usize::deserialize_json(p)?),
+                "fingerprint" => fingerprint = Some(read_hex_u64(p)?),
+                "classes" => classes = Some(Vec::deserialize_json(p)?),
+                "chunking" => chunking = Some(Chunking::deserialize_json(p)?),
+                "obligations" => obligations = Some(Vec::deserialize_json(p)?),
+                _ => return Ok(false),
             }
-        }
+            Ok(true)
+        })?;
         Ok(ScheduleCertificate {
-            version: version.ok_or_else(|| parser.error("certificate: version"))?,
-            sites: sites.ok_or_else(|| parser.error("certificate: sites"))?,
-            fingerprint: fingerprint.ok_or_else(|| parser.error("certificate: fingerprint"))?,
-            classes: classes.ok_or_else(|| parser.error("certificate: classes"))?,
-            chunking: chunking.ok_or_else(|| parser.error("certificate: chunking"))?,
-            obligations: obligations.ok_or_else(|| parser.error("certificate: obligations"))?,
+            version: required(parser, "certificate", "version", version)?,
+            sites: required(parser, "certificate", "sites", sites)?,
+            fingerprint: required(parser, "certificate", "fingerprint", fingerprint)?,
+            classes: required(parser, "certificate", "classes", classes)?,
+            chunking: required(parser, "certificate", "chunking", chunking)?,
+            obligations: required(parser, "certificate", "obligations", obligations)?,
         })
     }
 }
@@ -361,9 +319,8 @@ pub fn color_schedule(topology: &Topology, threads: usize) -> ScheduleCertificat
 /// 3. **Obligations** — every [`Obligation::ALL`] entry must be claimed
 ///    ([`Violation::CertificateObligationMissing`] per absentee).
 /// 4. **The schedule itself** — the three invariants are re-derived from
-///    the raw adjacency by
-///    [`check_graph_schedule`](crate::check_graph_schedule), exactly as
-///    for a hand-built schedule.
+///    the raw adjacency by the interference checker in
+///    [`schedule`](crate::schedule).
 #[must_use]
 pub fn verify_certificate(topology: &Topology, certificate: &ScheduleCertificate) -> AuditReport {
     let mut violations = Vec::new();
@@ -396,9 +353,7 @@ pub fn verify_certificate(topology: &Topology, certificate: &ScheduleCertificate
             });
         }
     }
-    let schedule =
-        SweepSchedule::with_chunking(certificate.classes.clone(), certificate.chunking.clone());
-    let mut report = crate::schedule::check_graph_schedule(topology, &schedule);
+    let mut report = check_graph_schedule(topology, &certificate.classes, &certificate.chunking);
     violations.append(&mut report.violations);
     report.violations = violations;
     report
@@ -598,6 +553,22 @@ mod tests {
         );
         let back = ScheduleCertificate::from_json(&json).expect("parses");
         assert_eq!(back, cert);
+    }
+
+    #[test]
+    fn signed_fingerprint_is_refused() {
+        // `u64::from_str_radix` reads "+1" as 1.
+        let json = "{\"version\":1,\"sites\":4,\"fingerprint\":\"+1\",\
+                    \"classes\":[[0,2],[1,3]],\"chunking\":{\"kind\":\"uniform\",\"threads\":1},\
+                    \"obligations\":[]}";
+        assert!(ScheduleCertificate::from_json(json).is_err());
+        let unsigned = json.replace("+1", "1");
+        assert_eq!(
+            ScheduleCertificate::from_json(&unsigned)
+                .expect("unsigned fingerprint parses")
+                .fingerprint(),
+            1
+        );
     }
 
     #[test]

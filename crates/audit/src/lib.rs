@@ -1,22 +1,21 @@
 //! `mogs-audit` — static analysis for the MOGS inference runtime.
 //!
-//! Two analyzers, one purpose: turn the prose arguments that justify the
+//! Three analyzers, one purpose: turn the prose arguments that justify the
 //! engine's `unsafe` label-plane path into machine-checked facts.
 //!
-//! * [`schedule`] — the **schedule interference checker**. From an
-//!   interference graph (a grid topology or any sparse
-//!   [`Topology`](mogs_mrf::Topology)) and a sweep schedule it verifies
-//!   the three invariants the in-place plane update requires (no
-//!   neighbouring sites in one phase, chunks partition each group
-//!   exactly, every site covered once per sweep), returning a typed
-//!   [`AuditReport`]. `mogs-engine` runs it at job admission;
-//!   `repro audit` runs it over the seed vision workloads.
-//! * [`certificate`] — the **general-graph schedule prover**. A greedy
-//!   graph-coloring scheduler ([`color_schedule`]) emits a serializable,
-//!   versioned [`ScheduleCertificate`]; an independent
-//!   [`verify_certificate`] pass re-proves every obligation against the
-//!   raw adjacency without trusting the colorer. Grid schedules are the
-//!   degenerate 2-color (first order) / 4-color (second order) case.
+//! * [`certificate`] — the **schedule prover**. A greedy graph-coloring
+//!   scheduler ([`color_schedule`]) emits a serializable, versioned
+//!   [`ScheduleCertificate`] over any sparse
+//!   [`Topology`](mogs_mrf::Topology); the independent
+//!   [`verify_certificate`] pass — the only prover — re-proves against
+//!   the raw adjacency, without trusting the colorer, the three
+//!   invariants the in-place plane update requires (no neighbouring
+//!   sites in one phase, chunks partition each group exactly, every
+//!   site covered once per sweep), returning a typed [`AuditReport`].
+//!   Grid schedules are the degenerate 2-color (first order) / 4-color
+//!   (second order) case. `mogs-engine` runs it at job admission;
+//!   `repro audit` runs it over the seed vision workloads. The checker
+//!   itself lives in [`schedule`].
 //! * [`sharding`] — the **fleet partition verifier**. For a plane split
 //!   across worker processes (`mogs-fleet`) it proves the partition is
 //!   exact, aligned to the certificate's deterministic RNG cells, and
@@ -47,5 +46,5 @@ pub use certificate::{
     color_schedule, verify_certificate, Obligation, ScheduleCertificate, CERTIFICATE_VERSION,
 };
 pub use report::{AuditError, AuditReport, AuditStats, SiteCoord, Violation};
-pub use schedule::{check_graph_schedule, check_schedule, Chunking, GridTopology, SweepSchedule};
+pub use schedule::Chunking;
 pub use sharding::{verify_sharding, ShardingReport, ShardingStats, ShardingViolation};

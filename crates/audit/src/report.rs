@@ -165,7 +165,7 @@ pub enum Violation {
 
 impl Violation {
     /// Whether a dynamic replay of the schedule (see
-    /// `shadow::replay_schedule`) would observe this violation as an
+    /// `shadow::replay_certificate`) would observe this violation as an
     /// access-pattern anomaly. Chunk-shape violations that leave the
     /// actual access pattern sound — underflow, empty chunks, extra
     /// chunk lists, out-of-bounds ends that clamping covers, and sites

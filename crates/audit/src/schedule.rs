@@ -1,6 +1,7 @@
-//! The schedule interference checker.
+//! The schedule interference checker behind
+//! [`verify_certificate`](crate::verify_certificate).
 //!
-//! The engine's in-place [`LabelPlane`] update is sound only under three
+//! The engine's in-place `LabelPlane` update is sound only under three
 //! invariants (see `crates/engine/src/plane.rs`):
 //!
 //! 1. no two sites updated in the same phase group are neighbours in the
@@ -8,94 +9,17 @@
 //!    Gibbs property);
 //! 2. the chunks of each group partition the group exactly (no overlap,
 //!    no gap, none empty, and as many chunks as the job asked for);
-//! 3. every grid site is covered exactly once per sweep.
+//! 3. every site is covered exactly once per sweep.
 //!
-//! [`check_schedule`] verifies all three from the grid topology and the
-//! sweep schedule alone — before any plane is allocated, let alone
-//! written — and returns a typed [`AuditReport`] naming the offending
-//! sites instead of leaving the invariants as prose.
+//! `check_graph_schedule` verifies all three from the sparse
+//! interference graph and a certificate's color classes and chunking —
+//! before any plane is allocated, let alone written — and returns a
+//! typed [`AuditReport`] naming the offending sites instead of leaving
+//! the invariants as prose.
 
-use mogs_mrf::{Grid2D, Neighborhood, Parity, Topology};
+use mogs_mrf::Topology;
 
 use crate::report::{AuditReport, AuditStats, SiteCoord, Violation};
-
-/// The interference graph of an MRF grid: sites are vertices, and two
-/// sites interfere when one's Gibbs update reads the other's label — i.e.
-/// they are neighbours under the field's clique [`Neighborhood`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridTopology {
-    grid: Grid2D,
-    neighborhood: Neighborhood,
-}
-
-impl GridTopology {
-    /// Topology of `grid` under `neighborhood` cliques.
-    #[must_use]
-    pub fn new(grid: Grid2D, neighborhood: Neighborhood) -> Self {
-        GridTopology { grid, neighborhood }
-    }
-
-    /// 4-neighbour (first-order) topology.
-    #[must_use]
-    pub fn first_order(grid: Grid2D) -> Self {
-        GridTopology::new(grid, Neighborhood::FirstOrder)
-    }
-
-    /// 8-neighbour (second-order) topology.
-    #[must_use]
-    pub fn second_order(grid: Grid2D) -> Self {
-        GridTopology::new(grid, Neighborhood::SecondOrder)
-    }
-
-    /// The underlying lattice.
-    #[must_use]
-    pub fn grid(&self) -> &Grid2D {
-        &self.grid
-    }
-
-    /// The clique neighbourhood.
-    #[must_use]
-    pub fn neighborhood(&self) -> Neighborhood {
-        self.neighborhood
-    }
-
-    /// Number of sites.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// Whether the grid has no sites (never true for a constructed grid).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
-    }
-
-    /// The interference neighbours of `site`: axis neighbours, plus the
-    /// diagonals for a second-order topology.
-    pub fn neighbors(&self, site: usize) -> impl Iterator<Item = usize> + '_ {
-        let axis = self.grid.neighbors4(site);
-        let diag = match self.neighborhood {
-            Neighborhood::FirstOrder => [None; 4],
-            Neighborhood::SecondOrder => self.grid.neighbors_diagonal(site),
-        };
-        axis.into_iter().chain(diag).flatten()
-    }
-
-    /// A site with its grid coordinates attached.
-    #[must_use]
-    pub fn coord(&self, site: usize) -> SiteCoord {
-        let (x, y) = self.grid.coords(site);
-        SiteCoord { site, x, y }
-    }
-
-    /// The same interference graph as a CSR sparse [`Topology`] — the
-    /// form the general-graph prover and certificate verifier work over.
-    #[must_use]
-    pub fn sparse(&self) -> Topology {
-        Topology::from_grid(self.grid, self.neighborhood)
-    }
-}
 
 /// How each phase group is split into worker chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,88 +38,14 @@ pub enum Chunking {
     },
 }
 
-/// A sweep schedule: the phase groups (in sweep order, each a list of
-/// flat site indices in update order) plus the chunk split workers use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepSchedule {
-    groups: Vec<Vec<usize>>,
-    chunking: Chunking,
-}
-
-impl SweepSchedule {
-    /// A schedule over explicit groups with the reference uniform chunk
-    /// split — the shape `mogs-engine` derives from every job.
+impl Chunking {
+    /// The chunk offset ranges of group `group`, which holds `len`
+    /// sites, in dispatch order. For uniform chunking this reproduces
+    /// the reference split `sites.chunks(len.div_ceil(threads).max(1))`
+    /// exactly.
     #[must_use]
-    pub fn uniform(groups: Vec<Vec<usize>>, threads: usize) -> Self {
-        SweepSchedule {
-            groups,
-            chunking: Chunking::Uniform { threads },
-        }
-    }
-
-    /// A schedule with hand-built chunk ranges (for audit tooling and
-    /// adversarial tests).
-    #[must_use]
-    pub fn explicit(groups: Vec<Vec<usize>>, ranges: Vec<Vec<(usize, usize)>>) -> Self {
-        SweepSchedule {
-            groups,
-            chunking: Chunking::Explicit { ranges },
-        }
-    }
-
-    /// A schedule over explicit groups with an already-built [`Chunking`]
-    /// — the shape the certificate verifier reconstructs from a
-    /// [`ScheduleCertificate`](crate::ScheduleCertificate).
-    #[must_use]
-    pub fn with_chunking(groups: Vec<Vec<usize>>, chunking: Chunking) -> Self {
-        SweepSchedule { groups, chunking }
-    }
-
-    /// The colored-sweep schedule for `topology`: checkerboard parities
-    /// for a first-order field, 2×2-block colours for second order — the
-    /// same groups, in the same order with the same site order, as
-    /// `MarkovRandomField::independent_groups`.
-    #[must_use]
-    pub fn colored(topology: &GridTopology, threads: usize) -> Self {
-        let grid = topology.grid();
-        let groups: Vec<Vec<usize>> = match topology.neighborhood() {
-            Neighborhood::FirstOrder => Parity::BOTH
-                .into_iter()
-                .map(|p| grid.sites_of_parity(p).collect())
-                .collect(),
-            Neighborhood::SecondOrder => (0..4)
-                .map(|c| grid.sites_of_block_color(c).collect())
-                .collect(),
-        };
-        SweepSchedule::uniform(groups, threads)
-    }
-
-    /// The phase groups, in sweep order.
-    #[must_use]
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
-    /// The chunk split.
-    #[must_use]
-    pub fn chunking(&self) -> &Chunking {
-        &self.chunking
-    }
-
-    /// Consumes the schedule, returning the phase groups (for callers
-    /// that audited a schedule and now want to run it without cloning).
-    #[must_use]
-    pub fn into_groups(self) -> Vec<Vec<usize>> {
-        self.groups
-    }
-
-    /// The chunk offset ranges of one group, in dispatch order. For
-    /// uniform chunking this reproduces the reference split
-    /// `sites.chunks(len.div_ceil(threads).max(1))` exactly.
-    #[must_use]
-    pub fn chunk_ranges(&self, group: usize) -> Vec<(usize, usize)> {
-        let len = self.groups[group].len();
-        match &self.chunking {
+    pub fn chunk_ranges(&self, group: usize, len: usize) -> Vec<(usize, usize)> {
+        match self {
             Chunking::Uniform { threads } => {
                 if len == 0 || *threads == 0 {
                     return Vec::new();
@@ -210,27 +60,17 @@ impl SweepSchedule {
     }
 }
 
-/// Verifies the three unsafe-plane invariants of `schedule` against a
-/// grid `topology`, returning every violation found (never panicking).
-///
-/// This is the grid-shaped entry point the engine has used since PR 2;
-/// it is now a thin wrapper over [`check_graph_schedule`] on the grid's
-/// sparse interference graph.
-#[must_use]
-pub fn check_schedule(topology: &GridTopology, schedule: &SweepSchedule) -> AuditReport {
-    check_graph_schedule(&topology.sparse(), schedule)
-}
-
-/// Verifies the three unsafe-plane invariants of `schedule` against an
-/// arbitrary sparse interference graph, returning every violation found
-/// (never panicking).
-///
-/// The invariants are exactly the grid checker's, restated for a general
-/// graph: no two sites adjacent in `topology` may update in the same
-/// phase group; the chunks of each group must partition it exactly; and
-/// every site must be covered exactly once per sweep.
-#[must_use]
-pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> AuditReport {
+/// Verifies the three unsafe-plane invariants of the phase `groups`
+/// split by `chunking` against a sparse interference graph, returning
+/// every violation found (never panicking): no two sites adjacent in
+/// `topology` may update in the same phase group; the chunks of each
+/// group must partition it exactly; and every site must be covered
+/// exactly once per sweep.
+pub(crate) fn check_graph_schedule(
+    topology: &Topology,
+    groups: &[Vec<usize>],
+    chunking: &Chunking,
+) -> AuditReport {
     let n = topology.len();
     let coord = |site: usize| {
         let (x, y) = topology.coords(site);
@@ -242,7 +82,7 @@ pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> Au
     // phase-membership map for the interference pass below, which is why
     // repeats must be recorded as violations rather than overwriting.
     let mut owner: Vec<Option<usize>> = vec![None; n];
-    for (g, sites) in schedule.groups().iter().enumerate() {
+    for (g, sites) in groups.iter().enumerate() {
         for &site in sites {
             if site >= n {
                 violations.push(Violation::SiteOutOfRange {
@@ -287,13 +127,13 @@ pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> Au
     }
     // Chunking: the per-group splits must partition each group exactly.
     let mut chunks = 0usize;
-    match schedule.chunking() {
+    match chunking {
         Chunking::Uniform { threads } => {
             if *threads == 0 {
                 violations.push(Violation::ZeroChunks);
             } else {
-                for (g, sites) in schedule.groups().iter().enumerate() {
-                    let actual = schedule.chunk_ranges(g).len();
+                for (g, sites) in groups.iter().enumerate() {
+                    let actual = chunking.chunk_ranges(g, sites.len()).len();
                     chunks += actual;
                     if !sites.is_empty() && actual < *threads {
                         violations.push(Violation::ChunkUnderflow {
@@ -307,14 +147,14 @@ pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> Au
             }
         }
         Chunking::Explicit { ranges } => {
-            if ranges.len() != schedule.groups().len() {
+            if ranges.len() != groups.len() {
                 violations.push(Violation::ChunkListMismatch {
-                    groups: schedule.groups().len(),
+                    groups: groups.len(),
                     chunk_lists: ranges.len(),
                 });
             }
-            for (g, sites) in schedule.groups().iter().enumerate() {
-                let group_ranges = schedule.chunk_ranges(g);
+            for (g, sites) in groups.iter().enumerate() {
+                let group_ranges = chunking.chunk_ranges(g, sites.len());
                 chunks += group_ranges.len();
                 let mut prev_end = 0usize;
                 for (c, &(start, end)) in group_ranges.iter().enumerate() {
@@ -361,7 +201,7 @@ pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> Au
         violations,
         stats: AuditStats {
             sites: n,
-            groups: schedule.groups().len(),
+            groups: groups.len(),
             chunks,
             edges_checked,
         },
@@ -371,18 +211,33 @@ pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> Au
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::{color_schedule, verify_certificate, ScheduleCertificate};
+    use mogs_mrf::{Grid2D, Neighborhood};
 
-    fn checkerboard(w: usize, h: usize, threads: usize) -> (GridTopology, SweepSchedule) {
-        let topology = GridTopology::first_order(Grid2D::new(w, h));
-        let schedule = SweepSchedule::colored(&topology, threads);
-        (topology, schedule)
+    fn first_order(w: usize, h: usize) -> Topology {
+        Topology::from_grid(Grid2D::new(w, h), Neighborhood::FirstOrder)
+    }
+
+    /// Verifies `groups` under `chunking` the only public way: as a
+    /// certificate bound to `topology`.
+    fn check(topology: &Topology, groups: Vec<Vec<usize>>, chunking: Chunking) -> AuditReport {
+        let certificate = ScheduleCertificate::from_classes(topology, groups, chunking);
+        verify_certificate(topology, &certificate)
+    }
+
+    fn uniform(threads: usize) -> Chunking {
+        Chunking::Uniform { threads }
+    }
+
+    fn explicit(ranges: Vec<Vec<(usize, usize)>>) -> Chunking {
+        Chunking::Explicit { ranges }
     }
 
     #[test]
     fn checkerboard_schedules_are_clean() {
         for (w, h, t) in [(1, 1, 1), (2, 2, 1), (8, 8, 3), (7, 5, 4), (50, 67, 12)] {
-            let (topology, schedule) = checkerboard(w, h, t);
-            let report = check_schedule(&topology, &schedule);
+            let topology = first_order(w, h);
+            let report = verify_certificate(&topology, &color_schedule(&topology, t));
             assert!(report.is_clean(), "{w}x{h} t={t}: {report}");
             assert_eq!(report.stats.sites, w * h);
         }
@@ -390,9 +245,8 @@ mod tests {
 
     #[test]
     fn block_color_schedules_are_clean_for_second_order() {
-        let topology = GridTopology::second_order(Grid2D::new(9, 6));
-        let schedule = SweepSchedule::colored(&topology, 2);
-        let report = check_schedule(&topology, &schedule);
+        let topology = Topology::from_grid(Grid2D::new(9, 6), Neighborhood::SecondOrder);
+        let report = verify_certificate(&topology, &color_schedule(&topology, 2));
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.stats.groups, 4);
         // 8-neighbour interference graph of a 9x6 grid:
@@ -404,10 +258,9 @@ mod tests {
     fn checkerboard_under_second_order_topology_races_on_diagonals() {
         // The parity schedule is only valid for first-order fields: under
         // an 8-neighbourhood, same-parity sites touch diagonally.
-        let topology = GridTopology::second_order(Grid2D::new(4, 4));
-        let first = GridTopology::first_order(*topology.grid());
-        let schedule = SweepSchedule::colored(&first, 2);
-        let report = check_schedule(&topology, &schedule);
+        let topology = Topology::from_grid(Grid2D::new(4, 4), Neighborhood::SecondOrder);
+        let parity = color_schedule(&first_order(4, 4), 2).into_classes();
+        let report = check(&topology, parity, uniform(2));
         assert!(report
             .violations
             .iter()
@@ -416,10 +269,9 @@ mod tests {
 
     #[test]
     fn adjacent_pair_in_one_group_is_caught_with_coordinates() {
-        let topology = GridTopology::first_order(Grid2D::new(3, 1));
+        let topology = first_order(3, 1);
         // Sites 0 and 1 are horizontal neighbours.
-        let schedule = SweepSchedule::uniform(vec![vec![0, 1], vec![2]], 1);
-        let report = check_schedule(&topology, &schedule);
+        let report = check(&topology, vec![vec![0, 1], vec![2]], uniform(1));
         assert_eq!(
             report.violations,
             vec![Violation::NeighborsSharePhase {
@@ -440,10 +292,9 @@ mod tests {
 
     #[test]
     fn uncovered_and_repeated_sites_are_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 2));
+        let topology = first_order(2, 2);
         // Site 3 missing; site 0 listed in both groups.
-        let schedule = SweepSchedule::uniform(vec![vec![0], vec![1, 2, 0]], 1);
-        let report = check_schedule(&topology, &schedule);
+        let report = check(&topology, vec![vec![0], vec![1, 2, 0]], uniform(1));
         assert!(report.violations.contains(&Violation::SiteUncovered {
             site: SiteCoord {
                 site: 3,
@@ -463,9 +314,8 @@ mod tests {
 
     #[test]
     fn out_of_range_site_is_caught_not_panicked_on() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 1));
-        let schedule = SweepSchedule::uniform(vec![vec![0, 99], vec![1]], 1);
-        let report = check_schedule(&topology, &schedule);
+        let topology = first_order(2, 1);
+        let report = check(&topology, vec![vec![0, 99], vec![1]], uniform(1));
         assert!(report.violations.contains(&Violation::SiteOutOfRange {
             group: 0,
             site: 99,
@@ -476,8 +326,8 @@ mod tests {
     #[test]
     fn chunk_underflow_is_flagged() {
         // 2x1 grid: each parity group has one site; 3 chunks cannot run.
-        let (topology, schedule) = checkerboard(2, 1, 3);
-        let report = check_schedule(&topology, &schedule);
+        let topology = first_order(2, 1);
+        let report = verify_certificate(&topology, &color_schedule(&topology, 3));
         assert!(report.violations.iter().all(|v| matches!(
             v,
             Violation::ChunkUnderflow {
@@ -492,40 +342,38 @@ mod tests {
 
     #[test]
     fn zero_threads_is_flagged() {
-        let (topology, schedule) = checkerboard(2, 2, 0);
-        let report = check_schedule(&topology, &schedule);
+        let topology = first_order(2, 2);
+        let report = verify_certificate(&topology, &color_schedule(&topology, 0));
         assert!(report.violations.contains(&Violation::ZeroChunks));
     }
 
     #[test]
     fn uniform_chunk_ranges_match_reference_split() {
         // 13 sites over 4 chunks: ceil(13/4) = 4 → 4,4,4,1.
-        let schedule = SweepSchedule::uniform(vec![(0..13).collect()], 4);
         assert_eq!(
-            schedule.chunk_ranges(0),
+            uniform(4).chunk_ranges(0, 13),
             vec![(0, 4), (4, 8), (8, 12), (12, 13)]
         );
         // 4 sites over 8 chunks: width 1, only 4 chunks actually run.
-        let schedule = SweepSchedule::uniform(vec![(0..4).collect()], 8);
-        assert_eq!(schedule.chunk_ranges(0).len(), 4);
+        assert_eq!(uniform(8).chunk_ranges(0, 4).len(), 4);
     }
 
     #[test]
     fn explicit_chunks_partitioning_exactly_are_clean() {
-        let topology = GridTopology::first_order(Grid2D::new(4, 1));
+        let topology = first_order(4, 1);
         let groups = vec![vec![0, 2], vec![1, 3]];
         let ranges = vec![vec![(0, 1), (1, 2)], vec![(0, 2)]];
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let report = check(&topology, groups, explicit(ranges));
         assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn overlapping_and_gapped_chunks_are_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(4, 1));
+        let topology = first_order(4, 1);
         let groups = vec![vec![0, 2], vec![1, 3]];
         // Group 0: overlap at offset 0..1; group 1: gap, ends early.
         let ranges = vec![vec![(0, 1), (0, 2)], vec![(0, 1)]];
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let report = check(&topology, groups, explicit(ranges));
         assert!(report
             .violations
             .iter()
@@ -538,10 +386,10 @@ mod tests {
 
     #[test]
     fn empty_and_out_of_bounds_chunks_are_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 1));
+        let topology = first_order(2, 1);
         let groups = vec![vec![0], vec![1]];
         let ranges = vec![vec![(0, 0), (0, 1)], vec![(0, 5)]];
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let report = check(&topology, groups, explicit(ranges));
         assert!(report
             .violations
             .iter()
@@ -554,9 +402,12 @@ mod tests {
 
     #[test]
     fn chunk_list_count_mismatch_is_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 1));
-        let schedule = SweepSchedule::explicit(vec![vec![0], vec![1]], vec![vec![(0, 1)]]);
-        let report = check_schedule(&topology, &schedule);
+        let topology = first_order(2, 1);
+        let report = check(
+            &topology,
+            vec![vec![0], vec![1]],
+            explicit(vec![vec![(0, 1)]]),
+        );
         assert!(report.violations.iter().any(|v| matches!(
             v,
             Violation::ChunkListMismatch {

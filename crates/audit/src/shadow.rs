@@ -29,7 +29,7 @@
 //! The hot path is lock-free (`record_*` are atomic ops on `&self`; the
 //! findings mutex is only taken when an anomaly is actually observed) so
 //! the engine can drive it from parallel chunk workers under the
-//! `shadow-audit` feature, while [`replay_schedule`] drives it serially
+//! `shadow-audit` feature, while [`replay_certificate`] drives it serially
 //! for the audit crate's own property tests without depending on the
 //! engine.
 
@@ -38,7 +38,7 @@ use std::sync::Mutex;
 
 use mogs_mrf::Topology;
 
-use crate::schedule::SweepSchedule;
+use crate::certificate::ScheduleCertificate;
 
 /// The logical time of one plane access: which barrier-ordered phase it
 /// happened in, and which concurrent task performed it.
@@ -278,7 +278,8 @@ impl ShadowPlane {
     }
 }
 
-/// Replays one sweep of `schedule` serially against a [`ShadowPlane`],
+/// Replays one sweep of `certificate`'s schedule serially against a
+/// [`ShadowPlane`],
 /// recording exactly the plane accesses the engine's chunk workers would
 /// perform: for each scheduled site, an own-label read, one neighbour
 /// read per interference neighbour, then the write — each stamped with
@@ -288,10 +289,11 @@ impl ShadowPlane {
 ///
 /// Returns the report of one full sweep.
 #[must_use]
-pub fn replay_schedule(topology: &Topology, schedule: &SweepSchedule) -> ShadowReport {
+pub fn replay_certificate(topology: &Topology, certificate: &ScheduleCertificate) -> ShadowReport {
     let shadow = ShadowPlane::new(topology.len());
-    for (g, sites) in schedule.groups().iter().enumerate() {
-        for (task, (start, end)) in schedule.chunk_ranges(g).into_iter().enumerate() {
+    for (g, sites) in certificate.classes().iter().enumerate() {
+        let ranges = certificate.chunking().chunk_ranges(g, sites.len());
+        for (task, (start, end)) in ranges.into_iter().enumerate() {
             let clock = TaskClock {
                 epoch: g as u64,
                 task: task as u64,
@@ -315,14 +317,27 @@ pub fn replay_schedule(topology: &Topology, schedule: &SweepSchedule) -> ShadowR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::GridTopology;
-    use mogs_mrf::Grid2D;
+    use crate::certificate::color_schedule;
+    use crate::schedule::Chunking;
+    use mogs_mrf::{Grid2D, Neighborhood};
+
+    fn first_order(w: usize, h: usize) -> Topology {
+        Topology::from_grid(Grid2D::new(w, h), Neighborhood::FirstOrder)
+    }
+
+    /// Replays `groups` split uniformly into `threads` chunks.
+    fn replay(topology: &Topology, groups: Vec<Vec<usize>>, threads: usize) -> ShadowReport {
+        let chunking = Chunking::Uniform { threads };
+        replay_certificate(
+            topology,
+            &ScheduleCertificate::from_classes(topology, groups, chunking),
+        )
+    }
 
     #[test]
     fn valid_checkerboard_replay_is_clean() {
-        let topology = GridTopology::first_order(Grid2D::new(6, 5));
-        let schedule = SweepSchedule::colored(&topology, 3);
-        let report = replay_schedule(&topology.sparse(), &schedule);
+        let topology = first_order(6, 5);
+        let report = replay_certificate(&topology, &color_schedule(&topology, 3));
         assert!(report.is_clean(), "{:?}", report.findings);
     }
 
@@ -331,16 +346,13 @@ mod tests {
         // A 6-cycle 2-colored, replayed over 2 chunks per phase.
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)];
         let topology = Topology::from_edges(6, &edges).expect("cycle");
-        let schedule = SweepSchedule::uniform(vec![vec![0, 2, 4], vec![1, 3, 5]], 2);
-        let report = replay_schedule(&topology, &schedule);
+        let report = replay(&topology, vec![vec![0, 2, 4], vec![1, 3, 5]], 2);
         assert!(report.is_clean(), "{:?}", report.findings);
     }
 
     #[test]
     fn adjacent_pair_in_one_phase_is_observed_as_conflict() {
-        let topology = GridTopology::first_order(Grid2D::new(3, 1));
-        let schedule = SweepSchedule::uniform(vec![vec![0, 1], vec![2]], 1);
-        let report = replay_schedule(&topology.sparse(), &schedule);
+        let report = replay(&first_order(3, 1), vec![vec![0, 1], vec![2]], 1);
         assert!(report.findings.iter().any(|f| matches!(
             f,
             ShadowFinding::PhaseConflict { site, epoch: 0, .. } if *site == 0 || *site == 1
@@ -354,8 +366,7 @@ mod tests {
         // write, but the schedule is unsound — the happens-before rule
         // keys on the epoch, not the task.
         let topology = Topology::from_edges(2, &[(0, 1)]).expect("edge");
-        let schedule = SweepSchedule::uniform(vec![vec![0, 1]], 1);
-        let report = replay_schedule(&topology, &schedule);
+        let report = replay(&topology, vec![vec![0, 1]], 1);
         assert!(report
             .findings
             .iter()
@@ -367,8 +378,7 @@ mod tests {
         // 3-colorable path scheduled in 3 phases with the violation
         // seeded in the *last* phase — the epoch in the finding names it.
         let topology = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).expect("path");
-        let schedule = SweepSchedule::uniform(vec![vec![0], vec![1], vec![2, 3]], 1);
-        let report = replay_schedule(&topology, &schedule);
+        let report = replay(&topology, vec![vec![0], vec![1], vec![2, 3]], 1);
         assert!(report
             .findings
             .iter()
@@ -377,13 +387,14 @@ mod tests {
 
     #[test]
     fn gap_and_overlap_show_up_as_coverage_anomalies() {
-        let topology = GridTopology::first_order(Grid2D::new(4, 1));
+        let topology = first_order(4, 1);
         let groups = vec![vec![0, 2], vec![1, 3]];
         // Group 0 chunked with an overlap (site 0 twice), group 1 with a
         // gap (site 3 never visited).
         let ranges = vec![vec![(0, 1), (0, 2)], vec![(0, 1)]];
-        let schedule = SweepSchedule::explicit(groups, ranges);
-        let report = replay_schedule(&topology.sparse(), &schedule);
+        let chunking = Chunking::Explicit { ranges };
+        let certificate = ScheduleCertificate::from_classes(&topology, groups, chunking);
+        let report = replay_certificate(&topology, &certificate);
         assert!(report.findings.contains(&ShadowFinding::DoubleWrite {
             site: 0,
             epoch: 0,
@@ -419,15 +430,15 @@ mod tests {
 
     #[test]
     fn checker_resets_between_sweeps() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 2)).sparse();
-        let schedule = SweepSchedule::uniform(vec![vec![0, 3], vec![1, 2]], 1);
+        let topology = first_order(2, 2);
+        let groups = [vec![0, 3], vec![1, 2]];
         let shadow = ShadowPlane::new(topology.len());
         shadow.record_write(0, TaskClock { epoch: 0, task: 0 });
         let first = shadow.finish();
         assert!(!first.is_clean());
         // After finish() the clocks are zeroed: a fresh, complete sweep
         // on the same checker is clean even though it reuses epochs.
-        for (g, sites) in schedule.groups().iter().enumerate() {
+        for (g, sites) in groups.iter().enumerate() {
             let clock = TaskClock {
                 epoch: g as u64,
                 task: 0,

@@ -28,7 +28,6 @@
 use mogs_mrf::Topology;
 
 use crate::certificate::ScheduleCertificate;
-use crate::schedule::Chunking;
 
 /// One broken sharding invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,15 +233,7 @@ pub fn verify_sharding(
 
     // 2. Chunk alignment against the certificate's deterministic cells.
     for (group, class) in certificate.classes().iter().enumerate() {
-        let ranges: Vec<(usize, usize)> = match certificate.chunking() {
-            Chunking::Uniform { threads } => {
-                let size = class.len().div_ceil(*threads).max(1);
-                (0..class.len().div_ceil(size))
-                    .map(|c| (c * size, ((c + 1) * size).min(class.len())))
-                    .collect()
-            }
-            Chunking::Explicit { ranges } => ranges.get(group).cloned().unwrap_or_default(),
-        };
+        let ranges = certificate.chunking().chunk_ranges(group, class.len());
         for (chunk, &(start, end)) in ranges.iter().enumerate() {
             report.stats.cells_checked += 1;
             let mut cell_owner: Option<usize> = None;
@@ -308,13 +299,12 @@ pub fn verify_sharding(
 mod tests {
     use super::*;
     use crate::certificate::color_schedule;
-    use crate::schedule::GridTopology;
     use mogs_mrf::{Grid2D, Neighborhood};
 
     const THREADS: usize = 3;
 
     fn fixture() -> (Topology, ScheduleCertificate) {
-        let topology = GridTopology::new(Grid2D::new(6, 4), Neighborhood::FirstOrder).sparse();
+        let topology = Topology::from_grid(Grid2D::new(6, 4), Neighborhood::FirstOrder);
         let certificate = color_schedule(&topology, THREADS);
         (topology, certificate)
     }
@@ -366,6 +356,15 @@ mod tests {
                 assert!(halos[0].is_empty(), "single shard imports nothing");
             }
         }
+    }
+
+    #[test]
+    fn zero_chunk_certificate_is_checked_not_panicked_on() {
+        // A uniform split into zero chunks has no cells to align.
+        let topology = Topology::from_edges(2, &[(0, 1)]).expect("edge");
+        let certificate = color_schedule(&topology, 0);
+        let report = verify_sharding(&topology, &certificate, &[vec![0, 1]], &[vec![]]);
+        assert_eq!(report.stats.cells_checked, 0);
     }
 
     #[test]
@@ -436,7 +435,7 @@ mod tests {
         )));
 
         // Foreign certificate short-circuits.
-        let other = GridTopology::new(Grid2D::new(5, 5), Neighborhood::FirstOrder).sparse();
+        let other = Topology::from_grid(Grid2D::new(5, 5), Neighborhood::FirstOrder);
         let foreign = color_schedule(&other, THREADS);
         let report = verify_sharding(&topology, &foreign, &shards, &halos);
         assert_eq!(report.violations.len(), 1);

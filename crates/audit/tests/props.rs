@@ -1,29 +1,75 @@
-//! Property-based invariants of the schedule interference checker.
+//! Property-based invariants of the schedule prover.
 //!
 //! Three families: every well-formed colored schedule passes, every
 //! adversarial mutation of one is rejected with the right violation, and
 //! (under the `shadow` feature) the dynamic recorder agrees with the
-//! static verdict on both directions the design promises.
+//! static verdict on both directions the design promises. Every verdict
+//! comes from `verify_certificate`, the workspace's one prover.
 
-use mogs_audit::{check_schedule, GridTopology, SweepSchedule, Violation};
-use mogs_mrf::Grid2D;
+use mogs_audit::{verify_certificate, AuditReport, Chunking, ScheduleCertificate, Violation};
+use mogs_mrf::{Grid2D, Neighborhood, Parity, Topology};
 use proptest::prelude::*;
 
-fn topology(w: usize, h: usize, second_order: bool) -> GridTopology {
+/// A grid the size of `w`×`h` under first- or second-order cliques.
+struct GridCase {
+    grid: Grid2D,
+    second_order: bool,
+    topology: Topology,
+}
+
+fn topology(w: usize, h: usize, second_order: bool) -> GridCase {
     let grid = Grid2D::new(w, h);
-    if second_order {
-        GridTopology::second_order(grid)
+    let order = if second_order {
+        Neighborhood::SecondOrder
     } else {
-        GridTopology::first_order(grid)
+        Neighborhood::FirstOrder
+    };
+    GridCase {
+        grid,
+        second_order,
+        topology: Topology::from_grid(grid, order),
     }
+}
+
+/// The reference colored-sweep groups: checkerboard parities for a
+/// first-order field, 2×2-block colours for second order — the same
+/// groups, in the same order with the same site order, as
+/// `MarkovRandomField::independent_groups`. Built from the lattice
+/// directly, never from the greedy colorer it is compared against.
+fn colored(case: &GridCase) -> Vec<Vec<usize>> {
+    if case.second_order {
+        (0..4)
+            .map(|c| case.grid.sites_of_block_color(c).collect())
+            .collect()
+    } else {
+        Parity::BOTH
+            .into_iter()
+            .map(|p| case.grid.sites_of_parity(p).collect())
+            .collect()
+    }
+}
+
+/// `groups` split by `chunking`, bound to `topology` as a certificate.
+fn certificate(
+    topology: &Topology,
+    groups: Vec<Vec<usize>>,
+    chunking: Chunking,
+) -> ScheduleCertificate {
+    ScheduleCertificate::from_classes(topology, groups, chunking)
+}
+
+/// The prover's verdict on `groups` with the uniform `threads` split.
+fn check(topology: &Topology, groups: Vec<Vec<usize>>, threads: usize) -> AuditReport {
+    let cert = certificate(topology, groups, Chunking::Uniform { threads });
+    verify_certificate(topology, &cert)
 }
 
 /// The colored groups with one site moved from its own phase into another
 /// phase (where at least one of its neighbours lives). Returns the groups
 /// and the moved site.
-fn move_one_site(topology: &GridTopology, site_pick: usize) -> (Vec<Vec<usize>>, usize) {
-    let mut groups = SweepSchedule::colored(topology, 1).into_groups();
-    let site = site_pick % topology.len();
+fn move_one_site(case: &GridCase, site_pick: usize) -> (Vec<Vec<usize>>, usize) {
+    let mut groups = colored(case);
+    let site = site_pick % case.topology.len();
     let from = groups
         .iter()
         .position(|g| g.contains(&site))
@@ -48,14 +94,13 @@ proptest! {
         threads in 1usize..=4,
         second_order in proptest::bool::ANY,
     ) {
-        let topology = topology(w, h, second_order);
-        let schedule = SweepSchedule::colored(&topology, threads);
-        let underflow = schedule
-            .groups()
-            .iter()
-            .enumerate()
-            .any(|(g, sites)| !sites.is_empty() && schedule.chunk_ranges(g).len() < threads);
-        let report = check_schedule(&topology, &schedule);
+        let case = topology(w, h, second_order);
+        let groups = colored(&case);
+        let chunking = Chunking::Uniform { threads };
+        let underflow = groups.iter().enumerate().any(|(g, sites)| {
+            !sites.is_empty() && chunking.chunk_ranges(g, sites.len()).len() < threads
+        });
+        let report = check(&case.topology, groups, threads);
         if underflow {
             prop_assert!(!report.is_clean());
             prop_assert!(
@@ -74,7 +119,7 @@ proptest! {
 
     /// Moving any single site into another phase puts it next to one of
     /// its neighbours (every site in a ≥2×2 grid has a neighbour of every
-    /// other colour), so the checker must flag interference.
+    /// other colour), so the prover must flag interference.
     #[test]
     fn moving_a_site_across_phases_is_rejected(
         w in 2usize..16,
@@ -82,9 +127,9 @@ proptest! {
         site_pick in 0usize..1024,
         second_order in proptest::bool::ANY,
     ) {
-        let topology = topology(w, h, second_order);
-        let (groups, site) = move_one_site(&topology, site_pick);
-        let report = check_schedule(&topology, &SweepSchedule::uniform(groups, 1));
+        let case = topology(w, h, second_order);
+        let (groups, site) = move_one_site(&case, site_pick);
+        let report = check(&case.topology, groups, 1);
         prop_assert!(!report.is_clean());
         prop_assert!(
             report.violations.iter().any(|v| matches!(
@@ -104,13 +149,13 @@ proptest! {
         site_pick in 0usize..1024,
         second_order in proptest::bool::ANY,
     ) {
-        let topology = topology(w, h, second_order);
-        let mut groups = SweepSchedule::colored(&topology, 1).into_groups();
-        let site = site_pick % topology.len();
+        let case = topology(w, h, second_order);
+        let mut groups = colored(&case);
+        let site = site_pick % case.topology.len();
         for g in &mut groups {
             g.retain(|&s| s != site);
         }
-        let report = check_schedule(&topology, &SweepSchedule::uniform(groups, 1));
+        let report = check(&case.topology, groups, 1);
         prop_assert!(report
             .violations
             .iter()
@@ -126,16 +171,16 @@ proptest! {
         site_pick in 0usize..1024,
         second_order in proptest::bool::ANY,
     ) {
-        let topology = topology(w, h, second_order);
-        let mut groups = SweepSchedule::colored(&topology, 1).into_groups();
-        let site = site_pick % topology.len();
+        let case = topology(w, h, second_order);
+        let mut groups = colored(&case);
+        let site = site_pick % case.topology.len();
         let from = groups
             .iter()
             .position(|g| g.contains(&site))
             .expect("colored schedules cover every site");
         let to = (from + 1) % groups.len();
         groups[to].push(site);
-        let report = check_schedule(&topology, &SweepSchedule::uniform(groups, 1));
+        let report = check(&case.topology, groups, 1);
         prop_assert!(report
             .violations
             .iter()
@@ -153,11 +198,14 @@ proptest! {
         mode in 0usize..3,
         second_order in proptest::bool::ANY,
     ) {
-        let topology = topology(w, h, second_order);
-        let clean = SweepSchedule::colored(&topology, 1);
-        let groups = clean.groups().to_vec();
-        let mut ranges: Vec<Vec<(usize, usize)>> =
-            (0..groups.len()).map(|g| clean.chunk_ranges(g)).collect();
+        let case = topology(w, h, second_order);
+        let groups = colored(&case);
+        let clean = Chunking::Uniform { threads: 1 };
+        let mut ranges: Vec<Vec<(usize, usize)>> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, sites)| clean.chunk_ranges(g, sites.len()))
+            .collect();
         let len = groups[0].len();
         prop_assert!(len >= 2);
         ranges[0] = match mode {
@@ -165,7 +213,8 @@ proptest! {
             1 => vec![(0, 1), (0, len)],      // overlap: site 0 twice
             _ => vec![(0, 0), (0, len)],      // empty leading chunk
         };
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let cert = certificate(&case.topology, groups, Chunking::Explicit { ranges });
+        let report = verify_certificate(&case.topology, &cert);
         prop_assert!(!report.is_clean());
         let expected = match mode {
             0 => report
@@ -187,10 +236,7 @@ proptest! {
 
 mod certificate_props {
     use super::*;
-    use mogs_audit::{
-        color_schedule, verify_certificate, Chunking, Obligation, ScheduleCertificate,
-    };
-    use mogs_mrf::Topology;
+    use mogs_audit::{color_schedule, Obligation};
 
     /// A random self-loop-free sparse graph (possibly disconnected): raw
     /// endpoint picks are folded into `0..sites`, and would-be loops are
@@ -421,10 +467,9 @@ mod certificate_props {
             h in 2usize..12,
             second_order in proptest::bool::ANY,
         ) {
-            let grid_topology = topology(w, h, second_order);
-            let cert = color_schedule(&grid_topology.sparse(), 1);
-            let reference = SweepSchedule::colored(&grid_topology, 1);
-            prop_assert_eq!(cert.classes(), reference.groups());
+            let case = topology(w, h, second_order);
+            let cert = color_schedule(&case.topology, 1);
+            prop_assert_eq!(cert.classes(), &colored(&case)[..]);
         }
     }
 }
@@ -432,7 +477,7 @@ mod certificate_props {
 #[cfg(feature = "shadow")]
 mod shadow_agreement {
     use super::*;
-    use mogs_audit::shadow::{replay_schedule, ShadowFinding};
+    use mogs_audit::shadow::{replay_certificate, ShadowFinding};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -449,10 +494,10 @@ mod shadow_agreement {
             threads in 1usize..=2,
             second_order in proptest::bool::ANY,
         ) {
-            let topology = topology(w, h, second_order);
-            let schedule = SweepSchedule::colored(&topology, threads);
-            prop_assert!(check_schedule(&topology, &schedule).is_clean());
-            let replay = replay_schedule(&topology.sparse(), &schedule);
+            let case = topology(w, h, second_order);
+            let cert = certificate(&case.topology, colored(&case), Chunking::Uniform { threads });
+            prop_assert!(verify_certificate(&case.topology, &cert).is_clean());
+            let replay = replay_certificate(&case.topology, &cert);
             prop_assert!(replay.is_clean(), "{:?}", replay.findings);
         }
 
@@ -466,11 +511,11 @@ mod shadow_agreement {
             site_pick in 0usize..1024,
             second_order in proptest::bool::ANY,
         ) {
-            let topology = topology(w, h, second_order);
-            let (groups, _site) = move_one_site(&topology, site_pick);
-            let schedule = SweepSchedule::uniform(groups, 1);
-            let static_report = check_schedule(&topology, &schedule);
-            let replay = replay_schedule(&topology.sparse(), &schedule);
+            let case = topology(w, h, second_order);
+            let (groups, _site) = move_one_site(&case, site_pick);
+            let cert = certificate(&case.topology, groups, Chunking::Uniform { threads: 1 });
+            let static_report = verify_certificate(&case.topology, &cert);
+            let replay = replay_certificate(&case.topology, &cert);
             prop_assert!(!static_report.is_clean());
             prop_assert!(replay
                 .findings
@@ -487,15 +532,15 @@ mod shadow_agreement {
             site_pick in 0usize..1024,
             second_order in proptest::bool::ANY,
         ) {
-            let topology = topology(w, h, second_order);
-            let mut groups = SweepSchedule::colored(&topology, 1).into_groups();
-            let site = site_pick % topology.len();
+            let case = topology(w, h, second_order);
+            let mut groups = colored(&case);
+            let site = site_pick % case.topology.len();
             for g in &mut groups {
                 g.retain(|&s| s != site);
             }
-            let schedule = SweepSchedule::uniform(groups, 1);
-            prop_assert!(!check_schedule(&topology, &schedule).is_clean());
-            let replay = replay_schedule(&topology.sparse(), &schedule);
+            let cert = certificate(&case.topology, groups, Chunking::Uniform { threads: 1 });
+            prop_assert!(!verify_certificate(&case.topology, &cert).is_clean());
+            let replay = replay_certificate(&case.topology, &cert);
             prop_assert!(replay
                 .findings
                 .contains(&ShadowFinding::NeverWritten { site }));

@@ -3,18 +3,15 @@
 //! Builds the three application MRFs on the same synthetic scenes the
 //! quality experiment uses, derives the sweep schedule the engine would
 //! run for each (the field's conditionally independent groups, uniformly
-//! chunked), and verifies it with the `mogs-audit` static interference
-//! checker: no two neighbouring sites may share a phase, chunks must
-//! partition each group exactly, and every site must update once per
-//! sweep. These are the invariants the engine's in-place `LabelPlane`
+//! chunked), and verifies it as a schedule certificate with
+//! `mogs_audit::verify_certificate`: no two neighbouring sites may share
+//! a phase, chunks must partition each group exactly, and every site
+//! must update once per sweep. These are the invariants the engine's in-place `LabelPlane`
 //! rests on; `repro audit` proves them for every shipped workload at the
 //! chunk counts the experiments actually use.
 
 use crate::report::render_table;
-use mogs_audit::{
-    check_schedule, color_schedule, verify_certificate, AuditReport, GridTopology,
-    ScheduleCertificate, SweepSchedule,
-};
+use mogs_audit::{color_schedule, verify_certificate, AuditReport, Chunking, ScheduleCertificate};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, MarkovRandomField, Neighborhood, Topology};
 use mogs_vision::motion::{MotionConfig, MotionEstimation};
@@ -54,14 +51,16 @@ fn audit_field<S: SingletonPotential>(
     mrf: &MarkovRandomField<S>,
     rows: &mut Vec<AuditRow>,
 ) {
-    let topology = GridTopology::new(*mrf.grid(), mrf.neighborhood());
+    let topology = Topology::from_grid(*mrf.grid(), mrf.neighborhood());
     for threads in THREAD_COUNTS {
-        let schedule = SweepSchedule::uniform(mrf.independent_groups(), threads);
+        let chunking = Chunking::Uniform { threads };
+        let certificate =
+            ScheduleCertificate::from_classes(&topology, mrf.independent_groups(), chunking);
         rows.push(AuditRow {
             workload,
             neighborhood: mrf.neighborhood(),
             threads,
-            report: check_schedule(&topology, &schedule),
+            report: verify_certificate(&topology, &certificate),
         });
     }
 }
@@ -224,7 +223,7 @@ pub fn run_graph(seed: u64) -> Vec<GraphAuditRow> {
     ] {
         audit_graph(
             name.to_owned(),
-            &GridTopology::new(Grid2D::new(28, 28), order).sparse(),
+            &Topology::from_grid(Grid2D::new(28, 28), order),
             &mut rows,
         );
     }

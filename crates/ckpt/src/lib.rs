@@ -6,11 +6,11 @@
 //! captures *durable* and *trustworthy*:
 //!
 //! - [`encode`]/[`decode`] define the on-disk format: a versioned JSON
-//!   envelope whose payload is covered by an FNV-1a checksum, with every
-//!   `f64` carried as its exact IEEE-754 bit pattern and every `u64` as
-//!   hex — nothing is allowed to round, because the contract is that a
-//!   job interrupted at sweep *k* and resumed produces **bit-identical**
-//!   output to one that never stopped.
+//!   envelope whose payload is covered by an FNV-1a checksum, written
+//!   under the hex/bits rule of `mogs_mrf::codec` — nothing is allowed to
+//!   round, because the contract is that a job interrupted at sweep *k*
+//!   and resumed produces **bit-identical** output to one that never
+//!   stopped.
 //! - [`CheckpointStore`] files envelopes in a directory with atomic
 //!   temp-file-then-rename writes, per-key retention bounds, and a
 //!   [`scan`](CheckpointStore::scan) that a restarting service uses to
@@ -56,7 +56,5 @@ mod store;
 pub mod harness;
 
 pub use error::CkptError;
-pub use format::{
-    decode, encode, fnv1a, open_envelope, seal, verify_binding, Checkpoint, FORMAT_VERSION,
-};
+pub use format::{decode, encode, open_envelope, seal, verify_binding, Checkpoint, FORMAT_VERSION};
 pub use store::{sanitize_key, CheckpointStore, GcReason, GcReport, ScanEntry, ScanReport};

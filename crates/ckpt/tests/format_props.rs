@@ -10,13 +10,15 @@
 //!   provably harmless, e.g. hex case in the checksum field: the decode
 //!   must then still equal the original);
 //! - version bumps and binding mismatches each surface as their own
-//!   variant, distinct from corruption.
+//!   variant, distinct from corruption;
+//! - arbitrary bytes are a typed error, never a panic;
+//! - a checkpoint written by an earlier build re-encodes byte-identically.
 //!
 //! "Never partially restore" holds by construction — [`decode`] returns
 //! a complete [`Checkpoint`] or an error and mutates nothing — so these
 //! properties focus on the never-panic and right-variant halves.
 
-use mogs_ckpt::{decode, encode, verify_binding, Checkpoint, CkptError};
+use mogs_ckpt::{decode, encode, seal, verify_binding, Checkpoint, CkptError};
 use mogs_engine::prelude::UnitFault;
 use mogs_engine::{FaultState, JobState, ShardBinding, StateBinding};
 use mogs_mrf::Label;
@@ -264,6 +266,25 @@ proptest! {
         );
     }
 
+    #[test]
+    fn arbitrary_bytes_are_a_typed_error(bytes in prop::collection::vec(0u8..=255, 0..160)) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(err) = decode(&text) {
+            prop_assert!(TYPED.contains(&err.variant()), "{err}");
+        }
+    }
+
+    /// Arbitrary bytes behind a canonical envelope head still never
+    /// panic the payload decoder.
+    #[test]
+    fn sealed_arbitrary_payloads_are_a_typed_error(
+        bytes in prop::collection::vec(0u8..=255, 0..160),
+    ) {
+        let sealed = seal(&String::from_utf8_lossy(&bytes));
+        let err = decode(&sealed).expect_err("random payloads are not checkpoints");
+        prop_assert_eq!(err.variant(), "state");
+    }
+
     /// Any one differing binding field is a `binding-mismatch`, found
     /// before a resume is even attempted.
     #[test]
@@ -281,4 +302,24 @@ proptest! {
         prop_assert_eq!(err.variant(), "binding-mismatch");
         prop_assert!(verify_binding(&state, &state.binding).is_ok());
     }
+}
+
+/// Written by the previous hand-rolled encoder: every field class (hex
+/// seed and digest, IEEE-bit energies including negative zero, all three
+/// fault kinds, a degraded fault state, escaped meta).
+const GOLDEN: &str = r#"{"version":1,"payload":"{\"meta\":\"{\\\"tenant\\\":\\\"acme\\\"}\",\"state\":{\"binding\":{\"sites\":6,\"width\":3,\"height\":2,\"labels\":3,\"iterations\":10,\"burn_in\":2,\"threads\":2,\"seed\":\"0000000000005eed\",\"fingerprint\":\"2c6eb214ef4eac64\",\"kernel\":\"rsu-pool\",\"track_modes\":true,\"record_energy\":true,\"shard\":{\"shard\":1,\"of\":2,\"owned\":3,\"sites_digest\":\"feedface01234567\"}},\"next_sweep\":4,\"labels\":[0,1,2,1,0,2],\"energy_trace\":[\"c02c800000000000\",\"3fd3333333333334\",\"8000000000000000\"],\"histograms\":[1,0,2],\"kernel_faults\":[null,{\"kind\":\"dead\"},{\"kind\":\"stuck\",\"label\":2},{\"kind\":\"dark\",\"rate\":\"3fc0000000000000\"}],\"fault\":{\"cursor\":3,\"quarantined\":[false,true,false,false],\"degraded\":{\"failed_over_at\":3,\"units_lost\":2},\"poisoned\":false},\"sink_state\":\"v=1;ring=3ff0000000000000\"}}","checksum":"a49271b9234a6f0d"}"#;
+
+#[test]
+fn golden_checkpoint_reencodes_byte_identically() {
+    let checkpoint = decode(GOLDEN).expect("golden checkpoint decodes");
+    assert_eq!(checkpoint.state.binding.seed, 0x5EED);
+    assert_eq!(
+        checkpoint.state.energy_trace[1].to_bits(),
+        (0.1f64 + 0.2).to_bits()
+    );
+    assert_eq!(
+        checkpoint.state.energy_trace[2].to_bits(),
+        (-0.0f64).to_bits()
+    );
+    assert_eq!(encode(&checkpoint), GOLDEN);
 }

@@ -35,15 +35,13 @@
 //! and updates go straight into the shared [`LabelPlane`] instead of
 //! per-thread update lists merged after a snapshot copy.
 
-use mogs_audit::{
-    color_schedule, verify_certificate, AuditError, Chunking, GridTopology, ScheduleCertificate,
-};
+use mogs_audit::{color_schedule, verify_certificate, AuditError, Chunking, ScheduleCertificate};
 use mogs_gibbs::kernel::{KernelArena, SweepKernel};
 use mogs_gibbs::{LabelSampler, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::field::DIAGONAL_WEIGHT;
 use mogs_mrf::label::MAX_LABELS;
-use mogs_mrf::{Label, MarkovRandomField, Neighborhood};
+use mogs_mrf::{Label, MarkovRandomField, Neighborhood, Topology};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -293,7 +291,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         // independent `verify_certificate` pass re-proves every unsafe-
         // plane invariant against the raw adjacency before any plane is
         // allocated.
-        let topology = GridTopology::new(*job.mrf.grid(), job.mrf.neighborhood()).sparse();
+        let topology = Topology::from_grid(*job.mrf.grid(), job.mrf.neighborhood());
         let certificate = match job.groups.take() {
             Some(groups) => ScheduleCertificate::from_classes(
                 &topology,

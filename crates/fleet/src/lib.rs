@@ -20,8 +20,8 @@
 //!   ([`run_in_process`]) the repro harness compares against.
 //! - [`partition`]: chunk-aligned greedy partitioning with halo sets,
 //!   independently re-proved by `mogs_audit::verify_sharding`.
-//! - [`wire`]: the framed message protocol (hex-encoded integers and
-//!   f64 bit patterns — exact through the vendored JSON layer).
+//! - [`wire`]: the framed message protocol, exact through the vendored
+//!   JSON layer under the hex/bits rule of `mogs_mrf::codec`.
 //! - [`worker`] / [`coordinator`]: the two protocol ends. Workers are
 //!   deliberately stateless-on-failure; all recovery decisions live in
 //!   the coordinator ([`run_fleet`]).

@@ -14,8 +14,8 @@
 //! divergence three sweeps later.
 
 use mogs_audit::verify_sharding;
-use mogs_ckpt::fnv1a;
 use mogs_engine::ShardBinding;
+use mogs_mrf::codec::fnv1a;
 
 use crate::error::{FleetError, FleetResult};
 use crate::exec::FleetStructure;

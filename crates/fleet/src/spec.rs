@@ -3,12 +3,8 @@
 //! A [`FleetSpec`] is everything a worker process needs to rebuild its
 //! shard of the job *exactly* — workload, backend, sweep budget,
 //! chunking, seed. It crosses the wire in every `Assign` message and is
-//! stored as checkpoint `meta`, so the encoding follows the workspace's
-//! envelope discipline: `u64` values travel as hex strings (the vendored
-//! JSON parser routes numbers through `f64`, which cannot carry a full
-//! 64-bit seed), `f64` values travel as their IEEE-754 bit patterns
-//! (nothing is allowed to round), and only provably-small integers ride
-//! as plain JSON numbers.
+//! stored as checkpoint `meta`, so seeds and the noise level follow the
+//! workspace hex/bits rule described in [`mogs_mrf::codec`].
 //!
 //! Workloads are *descriptions*, not data: both the demo field (the
 //! `mogs-ckpt` crash-harness Potts model) and the synthetic stereo pair
@@ -16,8 +12,9 @@
 //! that parse the same spec build bit-identical MRFs without shipping
 //! pixel planes around.
 
+use mogs_mrf::codec::{read_hex_u64, read_object, required, F64Bits, ObjectWriter};
 use serde::de::{self, Parser};
-use serde::Serialize;
+use serde::Deserialize;
 
 use crate::error::{FleetError, FleetResult};
 
@@ -180,59 +177,50 @@ impl FleetSpec {
     }
 
     pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"workload\":");
-        match &self.workload {
-            Workload::Demo {
-                width,
-                height,
-                labels,
-            } => {
-                out.push_str("{\"kind\":\"demo\",\"width\":");
-                width.serialize_json(out);
-                out.push_str(",\"height\":");
-                height.serialize_json(out);
-                out.push_str(",\"labels\":");
-                labels.serialize_json(out);
-                out.push('}');
-            }
-            Workload::Stereo {
-                width,
-                height,
-                disparity,
-                noise_sigma,
-                scene_seed,
-            } => {
-                out.push_str("{\"kind\":\"stereo\",\"width\":");
-                width.serialize_json(out);
-                out.push_str(",\"height\":");
-                height.serialize_json(out);
-                out.push_str(",\"disparity\":");
-                disparity.serialize_json(out);
-                out.push_str(&format!(
-                    ",\"noise_sigma\":\"{:016x}\"",
-                    noise_sigma.to_bits()
-                ));
-                out.push_str(&format!(",\"scene_seed\":\"{scene_seed:x}\""));
-                out.push('}');
-            }
-        }
-        out.push_str(",\"backend\":");
-        match self.backend {
-            BackendKind::Softmax => out.push_str("{\"kind\":\"softmax\"}"),
-            BackendKind::Rsu { replicas } => {
-                out.push_str("{\"kind\":\"rsu\",\"replicas\":");
-                replicas.serialize_json(out);
-                out.push('}');
-            }
-        }
-        out.push_str(",\"iterations\":");
-        self.iterations.serialize_json(out);
-        out.push_str(",\"threads\":");
-        self.threads.serialize_json(out);
-        out.push_str(&format!(",\"seed\":\"{:x}\"", self.seed));
-        out.push_str(",\"burn_in\":");
-        self.burn_in.serialize_json(out);
-        out.push('}');
+        ObjectWriter::new(out)
+            .with("workload", |out| {
+                let mut w = ObjectWriter::new(out);
+                match self.workload {
+                    Workload::Demo {
+                        width,
+                        height,
+                        labels,
+                    } => w
+                        .field("kind", "demo")
+                        .field("width", &width)
+                        .field("height", &height)
+                        .field("labels", &labels),
+                    Workload::Stereo {
+                        width,
+                        height,
+                        disparity,
+                        noise_sigma,
+                        scene_seed,
+                    } => w
+                        .field("kind", "stereo")
+                        .field("width", &width)
+                        .field("height", &height)
+                        .field("disparity", &disparity)
+                        .f64_bits("noise_sigma", noise_sigma)
+                        .hex_u64("scene_seed", scene_seed),
+                }
+                .end();
+            })
+            .with("backend", |out| {
+                let mut w = ObjectWriter::new(out);
+                match self.backend {
+                    BackendKind::Softmax => w.field("kind", "softmax"),
+                    BackendKind::Rsu { replicas } => {
+                        w.field("kind", "rsu").field("replicas", &replicas)
+                    }
+                }
+                .end();
+            })
+            .field("iterations", &self.iterations)
+            .field("threads", &self.threads)
+            .hex_u64("seed", self.seed)
+            .field("burn_in", &self.burn_in)
+            .end();
     }
 
     /// Parses a spec from its JSON text and validates it.
@@ -250,44 +238,30 @@ impl FleetSpec {
     }
 
     pub(crate) fn parse_value(parser: &mut Parser<'_>) -> Result<Self, de::Error> {
-        parser.expect_char('{')?;
-        let mut workload = None;
-        let mut backend = None;
-        let mut iterations = None;
-        let mut threads = None;
-        let mut seed = None;
-        let mut burn_in = None;
-        if !parser.consume_char('}') {
-            loop {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "workload" => workload = Some(parse_workload(parser)?),
-                    "backend" => backend = Some(parse_backend(parser)?),
-                    "iterations" => iterations = Some(usize::deserialize_json(parser)?),
-                    "threads" => threads = Some(usize::deserialize_json(parser)?),
-                    "seed" => seed = Some(parse_hex_u64(parser, "seed")?),
-                    "burn_in" => burn_in = Some(usize::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-                if !parser.consume_char(',') {
-                    break;
-                }
+        let (mut workload, mut backend, mut iterations) = (None, None, None);
+        let (mut threads, mut seed, mut burn_in) = (None, None, None);
+        read_object(parser, |p, key| {
+            match key {
+                "workload" => workload = Some(parse_workload(p)?),
+                "backend" => backend = Some(parse_backend(p)?),
+                "iterations" => iterations = Some(usize::deserialize_json(p)?),
+                "threads" => threads = Some(usize::deserialize_json(p)?),
+                "seed" => seed = Some(read_hex_u64(p)?),
+                "burn_in" => burn_in = Some(usize::deserialize_json(p)?),
+                _ => return Ok(false),
             }
-            parser.expect_char('}')?;
-        }
+            Ok(true)
+        })?;
         Ok(FleetSpec {
-            workload: workload.ok_or_else(|| parser.error("spec is missing 'workload'"))?,
-            backend: backend.ok_or_else(|| parser.error("spec is missing 'backend'"))?,
-            iterations: iterations.ok_or_else(|| parser.error("spec is missing 'iterations'"))?,
-            threads: threads.ok_or_else(|| parser.error("spec is missing 'threads'"))?,
-            seed: seed.ok_or_else(|| parser.error("spec is missing 'seed'"))?,
-            burn_in: burn_in.ok_or_else(|| parser.error("spec is missing 'burn_in'"))?,
+            workload: required(parser, "spec", "workload", workload)?,
+            backend: required(parser, "spec", "backend", backend)?,
+            iterations: required(parser, "spec", "iterations", iterations)?,
+            threads: required(parser, "spec", "threads", threads)?,
+            seed: required(parser, "spec", "seed", seed)?,
+            burn_in: required(parser, "spec", "burn_in", burn_in)?,
         })
     }
 }
-
-use serde::Deserialize;
 
 pub(crate) fn protocol(err: de::Error) -> FleetError {
     FleetError::Protocol {
@@ -295,96 +269,58 @@ pub(crate) fn protocol(err: de::Error) -> FleetError {
     }
 }
 
-/// Parses a `u64` carried as a hex string.
-pub(crate) fn parse_hex_u64(parser: &mut Parser<'_>, what: &str) -> Result<u64, de::Error> {
-    let text = parser.parse_string()?;
-    u64::from_str_radix(&text, 16)
-        .map_err(|_| parser.error(&format!("{what} is not a hex u64: {text:?}")))
-}
-
-/// Parses an `f64` carried as its IEEE-754 bit pattern in hex.
-pub(crate) fn parse_hex_f64(parser: &mut Parser<'_>, what: &str) -> Result<f64, de::Error> {
-    parse_hex_u64(parser, what).map(f64::from_bits)
-}
-
 fn parse_workload(parser: &mut Parser<'_>) -> Result<Workload, de::Error> {
-    parser.expect_char('{')?;
-    let mut kind = None;
-    let mut width = None;
-    let mut height = None;
-    let mut labels = None;
-    let mut disparity = None;
-    let mut noise_sigma = None;
-    let mut scene_seed = None;
-    if !parser.consume_char('}') {
-        loop {
-            let key = parser.parse_string()?;
-            parser.expect_char(':')?;
-            match key.as_str() {
-                "kind" => kind = Some(parser.parse_string()?),
-                "width" => width = Some(usize::deserialize_json(parser)?),
-                "height" => height = Some(usize::deserialize_json(parser)?),
-                "labels" => labels = Some(u16::deserialize_json(parser)?),
-                "disparity" => disparity = Some(u8::deserialize_json(parser)?),
-                "noise_sigma" => noise_sigma = Some(parse_hex_f64(parser, "noise_sigma")?),
-                "scene_seed" => scene_seed = Some(parse_hex_u64(parser, "scene_seed")?),
-                _ => parser.skip_value()?,
-            }
-            if !parser.consume_char(',') {
-                break;
-            }
+    let (mut kind, mut width, mut height, mut labels) = (None, None, None, None);
+    let (mut disparity, mut noise_sigma, mut scene_seed) = (None, None, None);
+    read_object(parser, |p, key| {
+        match key {
+            "kind" => kind = Some(p.parse_string()?),
+            "width" => width = Some(usize::deserialize_json(p)?),
+            "height" => height = Some(usize::deserialize_json(p)?),
+            "labels" => labels = Some(u16::deserialize_json(p)?),
+            "disparity" => disparity = Some(u8::deserialize_json(p)?),
+            "noise_sigma" => noise_sigma = Some(F64Bits::deserialize_json(p)?.0),
+            "scene_seed" => scene_seed = Some(read_hex_u64(p)?),
+            _ => return Ok(false),
         }
-        parser.expect_char('}')?;
-    }
-    let kind = kind.ok_or_else(|| parser.error("workload is missing 'kind'"))?;
-    let width = width.ok_or_else(|| parser.error("workload is missing 'width'"))?;
-    let height = height.ok_or_else(|| parser.error("workload is missing 'height'"))?;
+        Ok(true)
+    })?;
+    let kind = required(parser, "workload", "kind", kind)?;
+    let width = required(parser, "workload", "width", width)?;
+    let height = required(parser, "workload", "height", height)?;
     match kind.as_str() {
         "demo" => Ok(Workload::Demo {
             width,
             height,
-            labels: labels.ok_or_else(|| parser.error("demo workload is missing 'labels'"))?,
+            labels: required(parser, "demo workload", "labels", labels)?,
         }),
         "stereo" => Ok(Workload::Stereo {
             width,
             height,
-            disparity: disparity
-                .ok_or_else(|| parser.error("stereo workload is missing 'disparity'"))?,
-            noise_sigma: noise_sigma
-                .ok_or_else(|| parser.error("stereo workload is missing 'noise_sigma'"))?,
-            scene_seed: scene_seed
-                .ok_or_else(|| parser.error("stereo workload is missing 'scene_seed'"))?,
+            disparity: required(parser, "stereo workload", "disparity", disparity)?,
+            noise_sigma: required(parser, "stereo workload", "noise_sigma", noise_sigma)?,
+            scene_seed: required(parser, "stereo workload", "scene_seed", scene_seed)?,
         }),
         other => Err(parser.error(&format!("unknown workload kind {other:?}"))),
     }
 }
 
 fn parse_backend(parser: &mut Parser<'_>) -> Result<BackendKind, de::Error> {
-    parser.expect_char('{')?;
-    let mut kind = None;
-    let mut replicas = None;
-    if !parser.consume_char('}') {
-        loop {
-            let key = parser.parse_string()?;
-            parser.expect_char(':')?;
-            match key.as_str() {
-                "kind" => kind = Some(parser.parse_string()?),
-                "replicas" => replicas = Some(usize::deserialize_json(parser)?),
-                _ => parser.skip_value()?,
-            }
-            if !parser.consume_char(',') {
-                break;
-            }
+    let (mut kind, mut replicas) = (None, None);
+    read_object(parser, |p, key| {
+        match key {
+            "kind" => kind = Some(p.parse_string()?),
+            "replicas" => replicas = Some(usize::deserialize_json(p)?),
+            _ => return Ok(false),
         }
-        parser.expect_char('}')?;
-    }
-    match kind.as_deref() {
-        Some("softmax") => Ok(BackendKind::Softmax),
-        Some("rsu") => Ok(BackendKind::Rsu {
-            replicas: replicas.ok_or_else(|| parser.error("rsu backend is missing 'replicas'"))?,
+        Ok(true)
+    })?;
+    match required(parser, "backend", "kind", kind)?.as_str() {
+        "softmax" => Ok(BackendKind::Softmax),
+        "rsu" => Ok(BackendKind::Rsu {
+            replicas: required(parser, "rsu backend", "replicas", replicas)?,
         }),
-        Some(other) => Err(parser.error(&format!("unknown backend kind {other:?}"))),
-        None => Err(parser.error("backend is missing 'kind'")),
+        other => Err(parser.error(&format!("unknown backend kind {other:?}"))),
     }
 }
 

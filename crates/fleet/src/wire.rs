@@ -8,11 +8,11 @@
 //! whose stream desynced is indistinguishable from a dead one and is
 //! migrated the same way.
 //!
-//! Payloads follow the workspace envelope discipline (see
-//! [`crate::spec`]): hex strings for `u64`, IEEE-754 bit patterns for
-//! `f64`, plain numbers only for provably-small integers. Label planes
-//! travel as hex strings, two digits per site, so a 10⁴-site plane is a
-//! 20 kB frame rather than a 50 kB JSON array.
+//! Payloads are JSON objects whose `"t"` member names the message (the
+//! encoders write it first), with `u64`s under the workspace hex/bits
+//! rule described in [`mogs_mrf::codec`].
+//! Label planes travel as hex strings, two digits per site, so a
+//! 10⁴-site plane is a 20 kB frame rather than a 50 kB JSON array.
 //!
 //! Every function on the wire path returns [`FleetResult`] — enforced
 //! by the `fleet-wire-error` audit lint rule over `send_*`/`recv_*`/
@@ -23,11 +23,14 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use serde::de::Parser;
-use serde::{Deserialize, Serialize};
+use mogs_mrf::codec::{
+    hex_digit, push_hex_byte, read_hex_u64, read_object, required, ObjectWriter,
+};
+use serde::de::{self, Parser};
+use serde::Deserialize;
 
 use crate::error::{FleetError, FleetResult};
-use crate::spec::{parse_hex_u64, protocol, FleetSpec};
+use crate::spec::{protocol, FleetSpec};
 
 /// Upper bound on one frame's payload, far above any plane this
 /// workspace samples; anything larger is a corrupt prefix.
@@ -163,12 +166,12 @@ pub enum ToCoordinator {
 pub fn encode_plane(labels: &[u8]) -> String {
     let mut out = String::with_capacity(labels.len() * 2);
     for &l in labels {
-        out.push_str(&format!("{l:02x}"));
+        push_hex_byte(&mut out, l);
     }
     out
 }
 
-/// Decodes a hex label plane.
+/// Decodes a hex label plane: exactly two ASCII hex digits per site.
 ///
 /// # Errors
 ///
@@ -180,17 +183,18 @@ pub fn decode_plane(text: &str) -> FleetResult<Vec<u8>> {
             reason: format!("plane hex has odd length {}", bytes.len()),
         });
     }
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in text.as_bytes().chunks_exact(2) {
-        let hex = std::str::from_utf8(pair).map_err(|_| FleetError::Protocol {
-            reason: "plane hex is not ASCII".to_string(),
-        })?;
-        let value = u8::from_str_radix(hex, 16).map_err(|_| FleetError::Protocol {
-            reason: format!("plane hex contains non-hex pair {hex:?}"),
-        })?;
-        out.push(value);
-    }
-    Ok(out)
+    bytes
+        .chunks_exact(2)
+        .map(|pair| match (hex_digit(pair[0]), hex_digit(pair[1])) {
+            (Some(hi), Some(lo)) => Ok((hi << 4) | lo),
+            _ => Err(FleetError::Protocol {
+                reason: format!(
+                    "plane hex contains non-hex pair {:?}",
+                    String::from_utf8_lossy(pair)
+                ),
+            }),
+        })
+        .collect()
 }
 
 /// Writes one frame: 8-hex-digit length prefix plus payload.
@@ -239,11 +243,15 @@ pub fn recv_frame(
     };
     let mut prefix = [0u8; 8];
     conn.read_exact(&mut prefix).map_err(classify)?;
-    let prefix = std::str::from_utf8(&prefix).map_err(|_| FleetError::Frame {
-        reason: "length prefix is not ASCII hex".to_string(),
-    })?;
-    let len = usize::from_str_radix(prefix, 16).map_err(|_| FleetError::Frame {
-        reason: format!("length prefix {prefix:?} is not hex"),
+    let len = prefix.iter().try_fold(0usize, |acc, &b| {
+        hex_digit(b)
+            .map(|d| (acc << 4) | usize::from(d))
+            .ok_or_else(|| FleetError::Frame {
+                reason: format!(
+                    "length prefix {:?} is not 8 hex digits",
+                    String::from_utf8_lossy(&prefix)
+                ),
+            })
     })?;
     if len > FRAME_LIMIT {
         return Err(FleetError::Frame {
@@ -257,8 +265,11 @@ pub fn recv_frame(
     })
 }
 
-fn write_updates(updates: &[(usize, u8)], out: &mut String) {
-    updates.serialize_json(out);
+/// Opens a message object with its `"t"` tag member.
+fn tagged<'a>(out: &'a mut String, tag: &str) -> ObjectWriter<'a> {
+    let mut w = ObjectWriter::new(out);
+    w.field("t", tag);
+    w
 }
 
 /// Serializes a coordinator → worker message.
@@ -272,38 +283,20 @@ pub fn encode_to_worker(msg: &ToWorker) -> String {
             plane,
             resume_sweep,
             replay,
-        } => {
-            out.push_str("{\"t\":\"assign\",\"spec\":");
-            spec.write_json(&mut out);
-            out.push_str(",\"cells\":");
-            cells.serialize_json(&mut out);
-            out.push_str(",\"plane\":");
-            match plane {
-                Some(p) => encode_plane(p).serialize_json(&mut out),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"resume_sweep\":");
-            resume_sweep.serialize_json(&mut out);
-            out.push_str(",\"replay\":");
-            replay.serialize_json(&mut out);
-            out.push('}');
-        }
-        ToWorker::Phase { sweep, group } => {
-            out.push_str("{\"t\":\"phase\",\"sweep\":");
-            sweep.serialize_json(&mut out);
-            out.push_str(",\"group\":");
-            group.serialize_json(&mut out);
-            out.push('}');
-        }
-        ToWorker::Halo { updates } => {
-            out.push_str("{\"t\":\"halo\",\"updates\":");
-            write_updates(updates, &mut out);
-            out.push('}');
-        }
-        ToWorker::Ping { nonce } => {
-            out.push_str(&format!("{{\"t\":\"ping\",\"nonce\":\"{nonce:x}\"}}"));
-        }
-        ToWorker::Finish => out.push_str("{\"t\":\"finish\"}"),
+        } => tagged(&mut out, "assign")
+            .with("spec", |out| spec.write_json(out))
+            .field("cells", cells)
+            .field("plane", &plane.as_deref().map(encode_plane))
+            .field("resume_sweep", resume_sweep)
+            .field("replay", replay)
+            .end(),
+        ToWorker::Phase { sweep, group } => tagged(&mut out, "phase")
+            .field("sweep", sweep)
+            .field("group", group)
+            .end(),
+        ToWorker::Halo { updates } => tagged(&mut out, "halo").field("updates", updates).end(),
+        ToWorker::Ping { nonce } => tagged(&mut out, "ping").hex_u64("nonce", *nonce).end(),
+        ToWorker::Finish => tagged(&mut out, "finish").end(),
     }
     out
 }
@@ -314,49 +307,22 @@ pub fn encode_to_coordinator(msg: &ToCoordinator) -> String {
     let mut out = String::with_capacity(64);
     match msg {
         ToCoordinator::AssignOk { owned } => {
-            out.push_str("{\"t\":\"assign_ok\",\"owned\":");
-            owned.serialize_json(&mut out);
-            out.push('}');
+            tagged(&mut out, "assign_ok").field("owned", owned).end();
         }
         ToCoordinator::PhaseDone {
             sweep,
             group,
             updates,
-        } => {
-            out.push_str("{\"t\":\"phase_done\",\"sweep\":");
-            sweep.serialize_json(&mut out);
-            out.push_str(",\"group\":");
-            group.serialize_json(&mut out);
-            out.push_str(",\"updates\":");
-            write_updates(updates, &mut out);
-            out.push('}');
-        }
-        ToCoordinator::Pong { nonce } => {
-            out.push_str(&format!("{{\"t\":\"pong\",\"nonce\":\"{nonce:x}\"}}"));
-        }
-        ToCoordinator::Fault { reason } => {
-            out.push_str("{\"t\":\"fault\",\"reason\":");
-            reason.serialize_json(&mut out);
-            out.push('}');
-        }
-        ToCoordinator::Bye => out.push_str("{\"t\":\"bye\"}"),
+        } => tagged(&mut out, "phase_done")
+            .field("sweep", sweep)
+            .field("group", group)
+            .field("updates", updates)
+            .end(),
+        ToCoordinator::Pong { nonce } => tagged(&mut out, "pong").hex_u64("nonce", *nonce).end(),
+        ToCoordinator::Fault { reason } => tagged(&mut out, "fault").field("reason", reason).end(),
+        ToCoordinator::Bye => tagged(&mut out, "bye").end(),
     }
     out
-}
-
-/// Reads the `{"t":"..."` head every message starts with, returning the
-/// tag. Encoders always emit the tag first; a frame that does not lead
-/// with it is a protocol violation, not something to resynchronize.
-fn parse_tag(parser: &mut Parser<'_>) -> Result<String, serde::de::Error> {
-    parser.expect_char('{')?;
-    let key = parser.parse_string()?;
-    if key != "t" {
-        return Err(parser.error(&format!(
-            "message must lead with its tag, found key {key:?}"
-        )));
-    }
-    parser.expect_char(':')?;
-    parser.parse_string()
 }
 
 /// Parses a coordinator → worker message.
@@ -371,103 +337,54 @@ pub fn parse_to_worker(payload: &str) -> FleetResult<ToWorker> {
     Ok(msg)
 }
 
-#[allow(clippy::too_many_lines)]
-fn parse_to_worker_value(parser: &mut Parser<'_>) -> Result<ToWorker, serde::de::Error> {
-    let tag = parse_tag(parser)?;
-    match tag.as_str() {
-        "finish" => {
-            parser.expect_char('}')?;
-            Ok(ToWorker::Finish)
-        }
-        "ping" => {
-            let mut nonce = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "nonce" => nonce = Some(parse_hex_u64(parser, "nonce")?),
-                    _ => parser.skip_value()?,
-                }
+fn parse_to_worker_value(parser: &mut Parser<'_>) -> Result<ToWorker, de::Error> {
+    let (mut tag, mut spec, mut cells, mut plane, mut resume_sweep) =
+        (None, None, None, None, None);
+    let (mut replay, mut sweep, mut group, mut updates, mut nonce) = (None, None, None, None, None);
+    read_object(parser, |p, key| {
+        match key {
+            "t" => tag = Some(p.parse_string()?),
+            "spec" => spec = Some(FleetSpec::parse_value(p)?),
+            "cells" => cells = Some(Deserialize::deserialize_json(p)?),
+            "plane" => {
+                plane = Some(match Option::<String>::deserialize_json(p)? {
+                    None => None,
+                    Some(text) => Some(decode_plane(&text).map_err(|e| p.error(&e.to_string()))?),
+                });
             }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Ping {
-                nonce: nonce.ok_or_else(|| parser.error("ping is missing 'nonce'"))?,
-            })
+            "resume_sweep" => resume_sweep = Some(usize::deserialize_json(p)?),
+            "replay" => replay = Some(Deserialize::deserialize_json(p)?),
+            "sweep" => sweep = Some(usize::deserialize_json(p)?),
+            "group" => group = Some(usize::deserialize_json(p)?),
+            "updates" => updates = Some(Deserialize::deserialize_json(p)?),
+            "nonce" => nonce = Some(read_hex_u64(p)?),
+            _ => return Ok(false),
         }
-        "phase" => {
-            let mut sweep = None;
-            let mut group = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "sweep" => sweep = Some(usize::deserialize_json(parser)?),
-                    "group" => group = Some(usize::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Phase {
-                sweep: sweep.ok_or_else(|| parser.error("phase is missing 'sweep'"))?,
-                group: group.ok_or_else(|| parser.error("phase is missing 'group'"))?,
-            })
-        }
-        "halo" => {
-            let mut updates = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "updates" => updates = Some(Vec::<(usize, u8)>::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Halo {
-                updates: updates.ok_or_else(|| parser.error("halo is missing 'updates'"))?,
-            })
-        }
-        "assign" => {
-            let mut spec = None;
-            let mut cells = None;
-            let mut plane = None;
-            let mut resume_sweep = None;
-            let mut replay = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "spec" => spec = Some(FleetSpec::parse_value(parser)?),
-                    "cells" => cells = Some(Vec::<(usize, usize)>::deserialize_json(parser)?),
-                    "plane" => {
-                        plane = if parser.consume_literal("null") {
-                            Some(None)
-                        } else {
-                            let text = parser.parse_string()?;
-                            let decoded = crate::wire::decode_plane(&text)
-                                .map_err(|e| parser.error(&e.to_string()))?;
-                            Some(Some(decoded))
-                        };
-                    }
-                    "resume_sweep" => resume_sweep = Some(usize::deserialize_json(parser)?),
-                    "replay" => {
-                        replay = Some(Vec::<Vec<(usize, u8)>>::deserialize_json(parser)?);
-                    }
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Assign {
-                spec: spec.ok_or_else(|| parser.error("assign is missing 'spec'"))?,
-                cells: cells.ok_or_else(|| parser.error("assign is missing 'cells'"))?,
-                plane: plane.ok_or_else(|| parser.error("assign is missing 'plane'"))?,
-                resume_sweep: resume_sweep
-                    .ok_or_else(|| parser.error("assign is missing 'resume_sweep'"))?,
-                replay: replay.ok_or_else(|| parser.error("assign is missing 'replay'"))?,
-            })
-        }
-        other => Err(parser.error(&format!("unknown coordinator message {other:?}"))),
-    }
+        Ok(true)
+    })?;
+    let tag = required(parser, "message", "t", tag)?;
+    let msg = tag.as_str();
+    Ok(match msg {
+        "assign" => ToWorker::Assign {
+            spec: required(parser, msg, "spec", spec)?,
+            cells: required(parser, msg, "cells", cells)?,
+            plane: required(parser, msg, "plane", plane)?,
+            resume_sweep: required(parser, msg, "resume_sweep", resume_sweep)?,
+            replay: required(parser, msg, "replay", replay)?,
+        },
+        "phase" => ToWorker::Phase {
+            sweep: required(parser, msg, "sweep", sweep)?,
+            group: required(parser, msg, "group", group)?,
+        },
+        "halo" => ToWorker::Halo {
+            updates: required(parser, msg, "updates", updates)?,
+        },
+        "ping" => ToWorker::Ping {
+            nonce: required(parser, msg, "nonce", nonce)?,
+        },
+        "finish" => ToWorker::Finish,
+        other => return Err(parser.error(&format!("unknown coordinator message {other:?}"))),
+    })
 }
 
 /// Parses a worker → coordinator message.
@@ -482,81 +399,42 @@ pub fn parse_to_coordinator(payload: &str) -> FleetResult<ToCoordinator> {
     Ok(msg)
 }
 
-fn parse_to_coordinator_value(parser: &mut Parser<'_>) -> Result<ToCoordinator, serde::de::Error> {
-    let tag = parse_tag(parser)?;
-    match tag.as_str() {
-        "bye" => {
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::Bye)
+fn parse_to_coordinator_value(parser: &mut Parser<'_>) -> Result<ToCoordinator, de::Error> {
+    let (mut tag, mut owned, mut sweep, mut group) = (None, None, None, None);
+    let (mut updates, mut nonce, mut reason) = (None, None, None);
+    read_object(parser, |p, key| {
+        match key {
+            "t" => tag = Some(p.parse_string()?),
+            "owned" => owned = Some(usize::deserialize_json(p)?),
+            "sweep" => sweep = Some(usize::deserialize_json(p)?),
+            "group" => group = Some(usize::deserialize_json(p)?),
+            "updates" => updates = Some(Deserialize::deserialize_json(p)?),
+            "nonce" => nonce = Some(read_hex_u64(p)?),
+            "reason" => reason = Some(p.parse_string()?),
+            _ => return Ok(false),
         }
-        "pong" => {
-            let mut nonce = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "nonce" => nonce = Some(parse_hex_u64(parser, "nonce")?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::Pong {
-                nonce: nonce.ok_or_else(|| parser.error("pong is missing 'nonce'"))?,
-            })
-        }
-        "assign_ok" => {
-            let mut owned = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "owned" => owned = Some(usize::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::AssignOk {
-                owned: owned.ok_or_else(|| parser.error("assign_ok is missing 'owned'"))?,
-            })
-        }
-        "phase_done" => {
-            let mut sweep = None;
-            let mut group = None;
-            let mut updates = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "sweep" => sweep = Some(usize::deserialize_json(parser)?),
-                    "group" => group = Some(usize::deserialize_json(parser)?),
-                    "updates" => updates = Some(Vec::<(usize, u8)>::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::PhaseDone {
-                sweep: sweep.ok_or_else(|| parser.error("phase_done is missing 'sweep'"))?,
-                group: group.ok_or_else(|| parser.error("phase_done is missing 'group'"))?,
-                updates: updates.ok_or_else(|| parser.error("phase_done is missing 'updates'"))?,
-            })
-        }
-        "fault" => {
-            let mut reason = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "reason" => reason = Some(parser.parse_string()?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::Fault {
-                reason: reason.ok_or_else(|| parser.error("fault is missing 'reason'"))?,
-            })
-        }
-        other => Err(parser.error(&format!("unknown worker message {other:?}"))),
-    }
+        Ok(true)
+    })?;
+    let tag = required(parser, "message", "t", tag)?;
+    let msg = tag.as_str();
+    Ok(match msg {
+        "assign_ok" => ToCoordinator::AssignOk {
+            owned: required(parser, msg, "owned", owned)?,
+        },
+        "phase_done" => ToCoordinator::PhaseDone {
+            sweep: required(parser, msg, "sweep", sweep)?,
+            group: required(parser, msg, "group", group)?,
+            updates: required(parser, msg, "updates", updates)?,
+        },
+        "pong" => ToCoordinator::Pong {
+            nonce: required(parser, msg, "nonce", nonce)?,
+        },
+        "fault" => ToCoordinator::Fault {
+            reason: required(parser, msg, "reason", reason)?,
+        },
+        "bye" => ToCoordinator::Bye,
+        other => return Err(parser.error(&format!("unknown worker message {other:?}"))),
+    })
 }
 
 /// Sends a coordinator → worker message.
@@ -741,6 +619,33 @@ mod tests {
         assert_eq!(decode_plane(&encode_plane(&plane)).expect("decodes"), plane);
         assert!(decode_plane("abc").is_err(), "odd length");
         assert!(decode_plane("zz").is_err(), "non-hex");
+    }
+
+    #[test]
+    fn plane_hex_refuses_a_sign() {
+        // `u8::from_str_radix` reads "+a" as 10.
+        assert!(decode_plane("+a").is_err());
+        assert!(decode_plane("0+").is_err());
+    }
+
+    #[test]
+    fn nonce_refuses_a_sign() {
+        // `u64::from_str_radix` reads "+2a" as 42.
+        let err = parse_to_worker("{\"t\":\"ping\",\"nonce\":\"+2a\"}").expect_err("signed nonce");
+        assert_eq!(err.variant(), "protocol");
+        assert!(parse_to_coordinator("{\"t\":\"pong\",\"nonce\":\"+2a\"}").is_err());
+    }
+
+    #[test]
+    fn length_prefix_refuses_a_sign() {
+        // `usize::from_str_radix` reads "+0000010" as 16.
+        let (mut a, mut b) = pair();
+        a.write_all(b"+0000010{\"t\":\"finish\"}..")
+            .expect("raw write");
+        a.flush().expect("flush");
+        let err = recv_frame(&mut b, Some(Duration::from_secs(2)), "probe")
+            .expect_err("signed length prefix");
+        assert_eq!(err.variant(), "frame");
     }
 
     #[test]

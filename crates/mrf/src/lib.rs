@@ -21,6 +21,8 @@
 //! * [`energy`] — smoothness doubletons and the
 //!   [`SingletonPotential`](energy::SingletonPotential) trait;
 //! * [`field::MarkovRandomField`] — full conditionals and total energy;
+//! * [`codec`] — the bits-safe JSON codec (hex `u64`s, IEEE-754-bit
+//!   `f64`s, keyed objects) every persisted or transmitted format uses;
 //! * [`precision`] — the paper's limited-precision (8-bit energy)
 //!   quantization and redundant-label collapsing (§4.4).
 //!
@@ -47,6 +49,7 @@
 //! assert_eq!(energies.len(), 2);
 //! ```
 
+pub mod codec;
 pub mod energy;
 pub mod error;
 pub mod field;

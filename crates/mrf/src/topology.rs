@@ -19,6 +19,7 @@
 //! which is what lets a schedule certificate be bound to the adjacency
 //! it was proved against rather than to a constructor path.
 
+use crate::codec::{fnv1a, fnv1a_extend};
 use crate::field::Neighborhood;
 use crate::grid::Grid2D;
 use crate::MrfError;
@@ -168,18 +169,8 @@ impl Topology {
     /// agree.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut mix = |value: usize| {
-            let mut v = value as u64;
-            for _ in 0..8 {
-                hash ^= v & 0xff;
-                hash = hash.wrapping_mul(PRIME);
-                v >>= 8;
-            }
-        };
-        mix(self.len());
+        let mut hash = fnv1a(&(self.len() as u64).to_le_bytes());
+        let mut mix = |value: usize| hash = fnv1a_extend(hash, &(value as u64).to_le_bytes());
         for &o in &self.offsets {
             mix(o);
         }
@@ -254,6 +245,14 @@ mod tests {
                 sites: 3
             })
         );
+    }
+
+    #[test]
+    fn fingerprint_of_a_3x3_first_order_grid_is_pinned() {
+        // Every stored certificate and checkpoint binding carries this
+        // digest, so it must never drift.
+        let topo = Topology::from_grid(Grid2D::new(3, 3), Neighborhood::FirstOrder);
+        assert_eq!(topo.fingerprint(), 0x2c6e_b214_ef4e_ac64);
     }
 
     #[test]
